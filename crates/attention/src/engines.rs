@@ -245,28 +245,23 @@ impl SparseAttention for DiprsAttention {
             None
         };
 
-        let retrieved: Vec<u32> = match ctx.graph.as_ref() {
-            Some(graph) => diprs(graph, &ctx.keys, q, &self.params, seed)
-                .tokens
-                .into_iter()
-                .map(|s| s.idx as u32)
-                .collect(),
-            None => FlatIndex
-                .search_dipr(&ctx.keys, q, self.params.beta)
-                .into_iter()
-                .map(|s| s.idx as u32)
-                .collect(),
+        let retrieved = match ctx.graph.as_ref() {
+            Some(graph) => diprs(graph, &ctx.keys, q, &self.params, seed).tokens,
+            None => FlatIndex.search_dipr(&ctx.keys, q, self.params.beta),
         };
 
         // Merge: window partition already computed — reuse it. Retrieved
-        // tokens outside the window are scored in blocks via
-        // `partial_softmax` (bitwise-identical to the per-key loop).
-        let extras: Vec<u32> = retrieved
-            .into_iter()
-            .filter(|&id| !self.window.contains(id as usize, n))
-            .collect();
-        let extra = extras.len();
-        let cpu_acc = partial_softmax(q, &ctx.keys, &ctx.values, scale, extras);
+        // tokens outside the window form the CPU partition from the
+        // retrieval's own scores (distinct ids, scored once — no re-scoring
+        // gather), then fold in through the log-sum-exp merge.
+        let mut cpu_acc = OnlineSoftmax::new(ctx.values.dim());
+        let mut extra = 0;
+        for s in retrieved {
+            if !self.window.contains(s.idx, n) {
+                cpu_acc.push(s.score * scale, ctx.values.row(s.idx));
+                extra += 1;
+            }
+        }
         let mut merged = window_acc;
         merged.merge(&cpu_acc);
         AttendOutput {

@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the paper's design choices:
 //! window-seeded DIPRS pruning (§7.1), 2-hop vs naive filtering (§7.1),
 //! GQA index sharing (§7.2), and late vs eager index materialization
 //! (§7.2).

@@ -1,13 +1,12 @@
 //! Shared harness for the paper-reproduction experiment binaries.
 //!
 //! Every table and figure in the paper's evaluation (§9) has one binary in
-//! `src/bin/` that regenerates it (see DESIGN.md §4 for the index). The
-//! helpers here cover what all of them need: scaled experiment sizing
-//! (laptop-scale by default, `--full` for paper-scale), result tables on
-//! stdout, JSON dumps next to `EXPERIMENTS.md`, and the latency model that
-//! converts *measured* CPU-side costs plus *modeled* GPU-side costs into
-//! paper-scale TPOT estimates (the modeling split is documented per
-//! experiment in EXPERIMENTS.md).
+//! `src/bin/` that regenerates it (PAPER.md, "Evaluation shape reproduced
+//! here", lists them). The helpers here cover what all of them need: scaled
+//! experiment sizing (laptop-scale by default, `--full` for paper-scale),
+//! result tables on stdout, JSON dumps in `results/`, and the latency model
+//! ([`latency`]) that converts *measured* CPU-side costs plus *modeled*
+//! GPU-side costs into paper-scale TPOT estimates.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -73,7 +72,7 @@ pub fn print_header(cells: &[&str], widths: &[usize]) {
 }
 
 /// Writes an experiment's JSON record into `results/` at the workspace
-/// root (consumed when updating EXPERIMENTS.md).
+/// root.
 pub fn write_json<T: Serialize>(experiment: &str, value: &T) {
     let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {

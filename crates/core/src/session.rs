@@ -286,15 +286,11 @@ impl Session {
                 // Partition 1 ("GPU"): cached window over the combined
                 // sequence, restricted to the stored part (local tokens are
                 // partition 2 in full).
-                let mut in_window = vec![false; n_stored];
                 if let Some(kv) = stored_kv {
                     let wids: Vec<u32> = window
                         .token_ids(n)
                         .filter(|&id| (id as usize) < n_stored)
                         .collect();
-                    for &id in &wids {
-                        in_window[id as usize] = true;
-                    }
                     push_ids(&mut acc, q, &kv.keys, &kv.values, scale, &wids);
                 }
 
@@ -319,11 +315,13 @@ impl Session {
                 };
 
                 // Partition 3 ("CPU"): retrieved critical tokens from the
-                // stored context.
+                // stored context. Every branch yields distinct `(id, score)`
+                // pairs scored once, by the retrieval itself; TopK plans keep
+                // their ranked order, DIPR plans come back unordered.
                 let (Some(base), Some(kv)) = (self.base.as_ref(), stored_kv) else {
                     return acc.output();
                 };
-                let prefix_len = filter.map(|f| f.prefix_len).unwrap_or(n_stored);
+                let prefix_len = filter.map_or(n_stored, |f| f.prefix_len.min(n_stored));
                 let pred = |id: u32| (id as usize) < prefix_len;
                 let retrieved: Vec<ScoredIdx> = match (query, index) {
                     (QueryType::TopK { k }, IndexChoice::Coarse) => {
@@ -335,7 +333,7 @@ impl Session {
                             .filter(|&t| pred(t))
                             .map(|t| ScoredIdx {
                                 idx: t as usize,
-                                score: 0.0,
+                                score: kv.keys.dot_row(q, t as usize),
                             })
                             .collect()
                     }
@@ -364,15 +362,14 @@ impl Session {
                     }
                 };
 
-                let mut extras: Vec<u32> = Vec::with_capacity(retrieved.len());
+                // Absorb the retrieved tokens partition 1 did not: the
+                // predicate keeps ids below `n_stored`, so window membership
+                // is the only overlap to skip.
                 for s in retrieved {
-                    let id = s.idx;
-                    if id < n_stored && !in_window[id] {
-                        in_window[id] = true; // guards duplicate retrievals
-                        extras.push(id as u32);
+                    if !window.contains(s.idx, n) {
+                        acc.push(s.score * scale, kv.values.row(s.idx));
                     }
                 }
-                push_ids(&mut acc, q, &kv.keys, &kv.values, scale, &extras);
                 acc.output()
             }
         }

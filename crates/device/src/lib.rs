@@ -7,8 +7,8 @@
 //! [`CostModel`] converts workload shapes (attention FLOPs, KV-cache bytes,
 //! PCIe transfers) into simulated latencies for the experiments whose shape
 //! depends on GPU-side costs (TTFT, prefill). Everything that genuinely runs
-//! on the CPU (index search, DIPRS, buffer manager) is measured for real; the
-//! split is documented per-experiment in `EXPERIMENTS.md`.
+//! on the CPU (index search, DIPRS, buffer manager) is measured for real
+//! (PAPER.md, "Evaluation shape reproduced here").
 //!
 //! The [`pool`] module is the CPU execution substrate: a hand-rolled
 //! work-stealing thread pool with scoped execution that index construction,

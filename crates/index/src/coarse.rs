@@ -8,8 +8,8 @@
 //!   represented by `r` concrete key vectors; the block score is the highest
 //!   inner product among them. (InfLLM picks representatives by local
 //!   attention mass; without build-time queries we select the highest-norm
-//!   keys, which are the IP-dominant ones — the approximation is documented
-//!   in DESIGN.md.)
+//!   keys, which are the IP-dominant ones — an approximation of InfLLM's
+//!   choice.)
 //! * [`BlockScoring::MinMaxBounds`] — Quest-style: per-dimension min/max
 //!   envelopes give an upper bound on any key's inner product with the
 //!   query; no key can beat the bound, so top-scoring blocks are a superset

@@ -52,14 +52,22 @@ impl FlatIndex {
     }
 
     /// Exact DIPR: every id whose inner product is within `beta` of the
-    /// maximum (Definition 3). Results sorted descending by score.
+    /// maximum (Definition 3), in ascending id order with each id once.
     ///
-    /// Returns an empty vector for an empty source.
+    /// DIPR is a set: the band comes back unsorted by score, and each
+    /// `score` is the scan's own `q · key` (bitwise equal to
+    /// [`VectorSource::score`]), so attention pushes it instead of scoring
+    /// the id again. Returns an empty vector for an empty source.
     pub fn search_dipr<S: VectorSource>(&self, source: &S, q: &[f32], beta: f32) -> Vec<ScoredIdx> {
         self.search_dipr_filtered(source, q, beta, |_| true)
     }
 
-    /// Exact DIPR restricted to ids satisfying `predicate`.
+    /// Exact DIPR restricted to ids satisfying `predicate`; same order and
+    /// score contract as [`FlatIndex::search_dipr`].
+    ///
+    /// Scores the whole source through one [`VectorSource::score_range`]
+    /// block call, then keeps the band in one ascending pass — no per-key
+    /// dispatch, no sort.
     ///
     /// NaN scores can never enter the band (`NaN ≥ max − beta` is false) and
     /// NaN never becomes the band maximum (`f32::max` skips it), so a
@@ -72,20 +80,20 @@ impl FlatIndex {
         beta: f32,
         predicate: impl Fn(u32) -> bool,
     ) -> Vec<ScoredIdx> {
-        let mut scored: Vec<ScoredIdx> = (0..source.len() as u32)
-            .filter(|&i| predicate(i))
-            .map(|i| ScoredIdx {
-                idx: i as usize,
-                score: source.score(q, i),
-            })
-            .collect();
-        let max = scored
+        let mut scores = vec![0.0f32; source.len()];
+        source.score_range(q, 0, &mut scores);
+        let max = scores
             .iter()
-            .map(|s| s.score)
-            .fold(f32::NEG_INFINITY, f32::max);
-        scored.retain(|s| s.score >= max - beta);
-        scored.sort_unstable_by(|a, b| b.cmp(a));
-        scored
+            .enumerate()
+            .filter(|&(i, _)| predicate(i as u32))
+            .fold(f32::NEG_INFINITY, |m, (_, &s)| m.max(s));
+        let threshold = max - beta;
+        scores
+            .iter()
+            .enumerate()
+            .filter(|&(i, &s)| s >= threshold && predicate(i as u32))
+            .map(|(idx, &score)| ScoredIdx { idx, score })
+            .collect()
     }
 }
 
@@ -110,10 +118,11 @@ mod tests {
     #[test]
     fn dipr_returns_beta_band() {
         let s = store();
-        // Scores with q=[1,0] are 0,1,2,3,4; beta=1.5 keeps {4,3}.
+        // Scores with q=[1,0] are 0,1,2,3,4; beta=1.5 keeps {3,4}, in
+        // ascending id order.
         let got = FlatIndex.search_dipr(&s, &[1.0, 0.0], 1.5);
         let ids: Vec<usize> = got.iter().map(|x| x.idx).collect();
-        assert_eq!(ids, vec![4, 3]);
+        assert_eq!(ids, vec![3, 4]);
         // beta=0 keeps only the max.
         let got = FlatIndex.search_dipr(&s, &[1.0, 0.0], 0.0);
         assert_eq!(got.len(), 1);
@@ -140,8 +149,8 @@ mod tests {
 
         let got = FlatIndex.search_dipr_filtered(&s, &[1.0, 0.0], 1.5, |id| id < 3);
         let ids: Vec<usize> = got.iter().map(|x| x.idx).collect();
-        // Max among ids<3 is 2.0 → band keeps {2, 1}.
-        assert_eq!(ids, vec![2, 1]);
+        // Max among ids<3 is 2.0 → band keeps {1, 2}, ascending.
+        assert_eq!(ids, vec![1, 2]);
     }
 
     #[test]
@@ -157,10 +166,10 @@ mod tests {
         let s = VecStore::from_flat(2, vec![1.0, 0.0, f32::NAN, f32::NAN, 3.0, 0.0]);
         let q = [1.0f32, 1.0];
 
-        // A huge beta band still excludes the NaN key.
+        // A huge beta band still excludes the NaN key (ascending ids).
         let band = FlatIndex.search_dipr(&s, &q, 1e9);
         let ids: Vec<usize> = band.iter().map(|x| x.idx).collect();
-        assert_eq!(ids, vec![2, 0]);
+        assert_eq!(ids, vec![0, 2]);
 
         // Top-k prefers every finite score over the NaN one.
         let top = FlatIndex.search_topk(&s, &q, 2);

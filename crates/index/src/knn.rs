@@ -48,7 +48,7 @@ pub fn exact_knn(base: &VecStore, queries: &VecStore, k: usize) -> Vec<Vec<Score
 }
 
 /// Data-parallel exact kNN: queries fan out over the shared work-stealing
-/// pool (the "GPU-based kNN construction" substitution; see DESIGN.md).
+/// pool (the CPU stand-in for the paper's GPU-based kNN construction).
 /// Results are bitwise-identical to [`exact_knn`] for any worker count.
 pub fn exact_knn_parallel(
     base: &VecStore,

@@ -34,7 +34,11 @@ impl Default for DiprsParams {
 #[derive(Clone, Debug)]
 pub struct DiprsResult {
     /// Critical tokens: every candidate within β of the best inner product
-    /// found, sorted descending by score.
+    /// found, in discovery order (unsorted), each id at most once. DIPR is a
+    /// set (Definition 3) and its consumer folds it into an order-free
+    /// partial softmax, so the search never sorts. Each `score` is the
+    /// traversal's own `q · key` — bitwise what re-scoring the id would
+    /// give — so callers push it instead of computing it again.
     pub tokens: Vec<ScoredIdx>,
     /// Number of nodes scored (the exploration cost; Figure 5's y-axis is
     /// driven by `tokens.len()`, the ablation benches use this).
@@ -185,10 +189,10 @@ where
         }
     }
 
-    // Lines 8-9: keep the β-band around the best inner product.
+    // Lines 8-9: keep the β-band around the best inner product, in
+    // discovery order (the visited set makes every id unique).
     let threshold = result.max_ip - params.beta;
     c.retain(|s| s.score >= threshold);
-    c.sort_unstable_by(|a, b| b.cmp(a));
     result.tokens = c;
     result
 }
@@ -264,7 +268,6 @@ where
 
     let threshold = result.max_ip - params.beta;
     c.retain(|s| s.score >= threshold);
-    c.sort_unstable_by(|a, b| b.cmp(a));
     result.tokens = c;
     result
 }
@@ -390,8 +393,10 @@ mod tests {
             let q = queries.row(qi);
             let res = diprs(&graph, &base, q, &DiprsParams::default(), None);
             let exact = FlatIndex.search_topk(&base, q, 1);
+            // The band is unordered: its max is the best-scoring member.
+            let best = res.tokens.iter().max();
             assert_eq!(
-                res.tokens.first().map(|t| t.idx),
+                best.map(|t| t.idx),
                 Some(exact[0].idx),
                 "query {qi} missed the max-IP key"
             );
@@ -440,10 +445,9 @@ mod tests {
         for t in &res.tokens {
             assert!(t.score >= res.max_ip - params.beta - 1e-5);
         }
-        // Sorted descending.
-        for w in res.tokens.windows(2) {
-            assert!(w[0].score >= w[1].score);
-        }
+        // Unordered, but every id appears once.
+        let ids: std::collections::HashSet<usize> = res.tokens.iter().map(|t| t.idx).collect();
+        assert_eq!(ids.len(), res.tokens.len(), "duplicate id in the band");
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //!   without disconnecting the graph,
 //! * the **rule-based query optimizer** ([`optimizer`], Figure 8) that maps
 //!   each attention call to `(query type, index type, filter)`.
+//!
+//! **Result contract.** A DIPR answer is a set: DIPRS returns its β-band in
+//! discovery order and the flat scan in ascending id order — never sorted
+//! by score — with every id at most once. Each [`alaya_vector::topk::ScoredIdx`]
+//! carries the retrieval's own `q · key`, bitwise equal to re-scoring the id,
+//! so attention pushes these scores straight into its partial softmax
+//! (score once, sort never). Top-k answers stay ranked, best first.
 
 pub mod diprs;
 pub mod optimizer;

@@ -2,10 +2,18 @@
 
 use alaya_index::flat::FlatIndex;
 use alaya_index::graph::NeighborGraph;
-use alaya_query::diprs::{diprs, diprs_filtered, DiprsParams};
+use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
+use alaya_query::diprs::{diprs, diprs_filtered, diprs_filtered_naive, DiprsParams};
 use alaya_query::types::beta_from_alpha;
+use alaya_vector::topk::ScoredIdx;
 use alaya_vector::VecStore;
 use proptest::prelude::*;
+
+/// Whether no id appears twice.
+fn distinct(band: &[ScoredIdx]) -> bool {
+    let ids: std::collections::HashSet<usize> = band.iter().map(|s| s.idx).collect();
+    ids.len() == band.len()
+}
 
 fn keys_strategy() -> impl Strategy<Value = (VecStore, Vec<f32>)> {
     (2usize..64, 2usize..8).prop_flat_map(|(n, dim)| {
@@ -44,9 +52,38 @@ proptest! {
             .collect();
         let got: std::collections::HashSet<usize> = res.iter().map(|s| s.idx).collect();
         prop_assert_eq!(got, expect);
-        // Sorted descending.
+        // Ascending id order, each id once.
         for w in res.windows(2) {
-            prop_assert!(w[0].score >= w[1].score);
+            prop_assert!(w[0].idx < w[1].idx);
+        }
+    }
+
+    /// DIPR is a set: flat DIPR and DIPRS — on a clique and on a RoarGraph,
+    /// with and without a prefix filter — return every id at most once.
+    /// Attention absorbs the band without a dedup pass, so a duplicate
+    /// would double-weight its token.
+    #[test]
+    fn dipr_results_never_repeat_an_id(
+        (keys, q) in keys_strategy(),
+        beta in 0.0f32..20.0,
+        prefix_frac in 0.0f64..1.0,
+    ) {
+        let n = keys.len();
+        let prefix = ((n as f64 * prefix_frac) as usize).max(1);
+        let roar = RoarGraph::build(&keys, &keys, RoarGraphParams::default()).into_graph();
+        let graphs = [clique(n), roar];
+        let params = DiprsParams { beta, l0: 8, max_visits: usize::MAX };
+        for filtered in [false, true] {
+            let pred = |id: u32| !filtered || (id as usize) < prefix;
+            let flat = FlatIndex.search_dipr_filtered(&keys, &q, beta, pred);
+            prop_assert!(!flat.is_empty());
+            prop_assert!(distinct(&flat), "flat DIPR repeated an id (filtered={})", filtered);
+            for (gi, g) in graphs.iter().enumerate() {
+                let got = diprs_filtered(g, &keys, &q, &params, None, pred);
+                prop_assert!(distinct(&got.tokens), "DIPRS repeated an id (graph {}, filtered={})", gi, filtered);
+                let naive = diprs_filtered_naive(g, &keys, &q, &params, None, pred);
+                prop_assert!(distinct(&naive.tokens), "naive DIPRS repeated an id (graph {}, filtered={})", gi, filtered);
+            }
         }
     }
 

@@ -9,8 +9,7 @@
 //!   kernel-bypass NVMe; this repo substitutes positional file I/O
 //!   ([`device::FileDevice`]) and an in-memory device for tests
 //!   ([`device::MemDevice`]) — the layout and buffer-management claims are
-//!   preserved, kernel bypass is a constant-factor substitution documented
-//!   in DESIGN.md.
+//!   preserved, kernel bypass is a constant-factor substitution.
 //! * [`mod@file`] — the vector file: one file per attention head per layer.
 //!   Vector data and the graph index live in *different block types*; index
 //!   blocks are chained so the graph can be traversed block-by-block, and
